@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -226,64 +225,6 @@ func BenchmarkGibbsSweep(b *testing.B) {
 			}
 		})
 	}
-	// traced-seq: the sequential engine with a SweepTracer attached but
-	// sampling off — the default qserved configuration. The span hook
-	// reduces to one nil-parent branch per sweep, so benchdiff gates this
-	// row at <= 1.05x seq ns/op with no allocs/op growth in the same run.
-	b.Run("traced-seq", func(b *testing.B) {
-		working := truth.Clone()
-		if err := (core.OrderInitializer{}).Initialize(working, params); err != nil {
-			b.Fatal(err)
-		}
-		g, err := core.NewGibbs(working, params, xrand.New(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.SetObserver(&obs.SweepTracer{
-			Metrics: obs.NewSweepMetrics(obs.NewRegistry(), "bench"),
-			Tracer:  obs.NewTracer(256), // sampling off: SetSampleEvery never called
-			Stream:  "bench",
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Sweep()
-		}
-	})
-}
-
-// BenchmarkObservedGibbsSweep is BenchmarkGibbsSweep with a SweepObserver
-// attached (the qserved telemetry hook): the per-sweep duration and
-// moves-resampled histograms are atomics-only, so ns/op should match the
-// unobserved rows and allocs/op must stay 0.
-func BenchmarkObservedGibbsSweep(b *testing.B) {
-	truth, net := benchTraceLarge(b)
-	params, err := core.NewParams(net.ServiceRates())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sm := obs.NewSweepMetrics(obs.NewRegistry(), "bench")
-	for _, bc := range benchWorkerGrid() {
-		b.Run(bc.name, func(b *testing.B) {
-			working := truth.Clone()
-			if err := (core.OrderInitializer{}).Initialize(working, params); err != nil {
-				b.Fatal(err)
-			}
-			var g *core.Gibbs
-			if bc.workers == 0 {
-				g, err = core.NewGibbs(working, params, xrand.New(2))
-			} else {
-				g, err = core.NewParallelGibbs(working, params, xrand.New(2), bc.workers)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.SetObserver(sm)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Sweep()
-			}
-		})
-	}
 }
 
 // BenchmarkPosterior measures the full fixed-parameter posterior pass (30
@@ -326,34 +267,6 @@ func BenchmarkPosterior(b *testing.B) {
 			}
 		})
 	}
-	// traced-seq mirrors the sweep benchmark's row: the full posterior
-	// pass with an unsampled SweepTracer observer, gated same-run against
-	// seq by benchdiff.
-	b.Run("traced-seq", func(b *testing.B) {
-		tap := &obs.SweepTracer{
-			Metrics: obs.NewSweepMetrics(obs.NewRegistry(), "bench"),
-			Tracer:  obs.NewTracer(256),
-			Stream:  "bench",
-		}
-		var pool trace.ClonePool
-		var sum core.PosteriorSummary
-		var sc core.GibbsScratch
-		defer sc.Close()
-		run := func() {
-			working := pool.Get(base)
-			if err := core.PosteriorInto(&sum, working, params, xrand.New(3), core.PosteriorOptions{
-				Sweeps: 30, Observer: tap, Scratch: &sc,
-			}); err != nil {
-				b.Fatal(err)
-			}
-			pool.Put(working)
-		}
-		run()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
-		}
-	})
 }
 
 // BenchmarkStEMIteration measures one StEM iteration (E-sweep + M-step).

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -51,34 +50,6 @@ func TestSweepAllocFreeChromatic(t *testing.T) {
 			t.Fatalf("chromatic Sweep (workers=%d) allocates %v per run, want 0", workers, allocs)
 		}
 		g.Close()
-	}
-}
-
-// TestSweepAllocFreeObserved pins the telemetry contract from ISSUE 4: the
-// SweepObserver hook is atomics-only, so enabling observation must not cost
-// a single steady-state allocation on either engine.
-func TestSweepAllocFreeObserved(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are inflated under -race")
-	}
-	withGOMAXPROCS(t, 4)
-	sm := obs.NewSweepMetrics(obs.NewRegistry(), "core_test")
-	for _, workers := range []int{0, 1, 4} {
-		working, _, params := initializedWorking(t, [3]int{1, 2, 4}, 300, 0.2, 99)
-		g, err := newGibbsForWorkers(working, params, xrand.New(7), workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.EnableQueueStats()
-		g.SetObserver(sm)
-		g.Sweep() // warm-up
-		if allocs := testing.AllocsPerRun(10, g.Sweep); allocs != 0 {
-			t.Fatalf("observed Sweep (workers=%d) allocates %v per run, want 0", workers, allocs)
-		}
-		g.Close()
-	}
-	if sm.Duration.Count() == 0 || sm.Moves.Count() == 0 {
-		t.Fatal("observer saw no sweeps")
 	}
 }
 

@@ -30,9 +30,6 @@ type PosteriorOptions struct {
 	// against a full rescan after every sweep (slow; for tests and
 	// debugging).
 	DebugStats bool
-	// Observer, when non-nil, receives per-sweep telemetry (duration,
-	// resampled moves). It never perturbs the chain; see SweepObserver.
-	Observer SweepObserver
 	// Scratch, when non-nil, donates reusable sampler construction state
 	// (schedule arrays, conflict-graph build buffers, worker pool) so a
 	// steady-state caller pays no per-call sampler-construction
@@ -120,7 +117,6 @@ func PosteriorInto(sum *PosteriorSummary, es *trace.EventSet, params Params, rng
 	if err != nil {
 		return err
 	}
-	g.SetObserver(opts.Observer)
 	g.EnableQueueStats()
 	nq := es.NumQueues
 	kept := opts.Sweeps - opts.BurnIn

@@ -4,34 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
-
-// SweepObserver receives one measurement per completed Sweep: its wall time
-// and the number of latent moves actually resampled (latent variables minus
-// degenerate-interval skips). Implementations must be safe for concurrent
-// use by multiple samplers and must not allocate — the hook sits inside the
-// zero-alloc sweep contract (obs.SweepMetrics is the canonical atomics-only
-// implementation). Observation never consumes sampler randomness, so an
-// instrumented chain is bit-identical to an uninstrumented one.
-type SweepObserver interface {
-	ObserveSweep(d time.Duration, movesResampled int)
-}
-
-// SweepSpanObserver optionally extends SweepObserver with a wall-clock
-// span per sweep (Unix nanoseconds), for tracing backends that
-// reconstruct where a request's latency went. SetObserver detects the
-// extension with one type assertion at install time, so samplers whose
-// observer lacks it pay nothing, and observation still must not allocate
-// or consume randomness (obs.SweepTracer is the canonical
-// implementation: a single atomic load and branch while unsampled).
-type SweepSpanObserver interface {
-	SweepObserver
-	ObserveSweepSpan(startUnixNS, endUnixNS int64)
-}
 
 // Gibbs samples from the posterior over unobserved arrival and departure
 // times of an event set, conditioned on the observed times, the known FSM
@@ -74,14 +50,6 @@ type Gibbs struct {
 	// stats, when non-nil, holds incremental per-queue Σservice/Σwait kept
 	// up to date by O(1) delta hooks on every latent-time write.
 	stats *queueStats
-
-	// observer, when non-nil, is called once per Sweep with the sweep's
-	// duration and resampled-move count. nil (the default) costs one branch.
-	// spanObs caches the observer's SweepSpanObserver extension (nil when
-	// absent), so Sweep pays a type assertion once per SetObserver, not
-	// once per sweep.
-	observer SweepObserver
-	spanObs  SweepSpanObserver
 }
 
 // moveCtx is the per-worker state a scan thread needs: its own RNG stream,
@@ -253,13 +221,6 @@ func (g *Gibbs) NumLatent() int { return len(g.arrivalMoves) + len(g.departMoves
 // Workers returns the configured worker count (0 for the sequential engine).
 func (g *Gibbs) Workers() int { return g.workers }
 
-// SetObserver installs (or, with nil, removes) the per-sweep telemetry
-// hook. Call between sweeps only.
-func (g *Gibbs) SetObserver(o SweepObserver) {
-	g.observer = o
-	g.spanObs, _ = o.(SweepSpanObserver)
-}
-
 // Colors returns the number of color classes of the chromatic schedule, or
 // 0 for the sequential engine.
 func (g *Gibbs) Colors() int {
@@ -295,12 +256,6 @@ func (g *Gibbs) Skipped() int {
 // The chromatic engine alternates analogously over color classes and
 // within-shard move order.
 func (g *Gibbs) Sweep() {
-	var start time.Time
-	var skipped0 int
-	if g.observer != nil {
-		start = time.Now()
-		skipped0 = g.Skipped()
-	}
 	if g.sched != nil {
 		g.sweepChromatic()
 	} else if g.sweeps%2 == 0 {
@@ -321,13 +276,6 @@ func (g *Gibbs) Sweep() {
 	g.sweeps++
 	if g.stats != nil {
 		g.mergeStats()
-	}
-	if g.observer != nil {
-		end := time.Now()
-		g.observer.ObserveSweep(end.Sub(start), g.NumLatent()-(g.Skipped()-skipped0))
-		if g.spanObs != nil {
-			g.spanObs.ObserveSweepSpan(start.UnixNano(), end.UnixNano())
-		}
 	}
 }
 

@@ -110,6 +110,9 @@ type SlidingWindow struct {
 	// opWork counts chain-walk steps and repair iterations of the last
 	// Append/EvictOldest — the O(new + expired) work gate measures it.
 	opWork int
+	// sweepMoves counts the latent moves the last Sweep resampled (moves
+	// visited minus degenerate-interval skips).
+	sweepMoves int
 }
 
 // NewSlidingWindow returns an empty window over numQueues queues
@@ -172,6 +175,10 @@ func (w *SlidingWindow) LiveEvents() int { return len(w.set.Events) - w.evHead }
 // most recent Append or EvictOldest — the slide's work, which must scale
 // with the delta, not the window.
 func (w *SlidingWindow) LastOpWork() int { return w.opWork }
+
+// LastSweepMoves returns the latent moves the most recent Sweep
+// resampled: moves visited minus degenerate-interval skips.
+func (w *SlidingWindow) LastSweepMoves() int { return w.sweepMoves }
 
 // Span returns the entry times of the oldest and newest tasks (the
 // window's coverage in stream time). Zero for an empty window.
@@ -692,6 +699,7 @@ func (w *SlidingWindow) mergeMC() {
 // mutates.
 func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 	w.mc.rng = rng
+	skipped0, moves := w.mc.skipped, 0
 	es := &w.set
 	nq := es.NumQueues
 	if w.sweeps%2 == 0 {
@@ -699,6 +707,7 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
 				if e := &es.Events[i]; e.PrevT != trace.None && !e.ObsArrival {
 					resampleArrival(es, rates, &w.mc, i)
+					moves++
 				}
 			}
 		}
@@ -706,6 +715,7 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 			for i := w.qHead[q]; i != trace.None; i = es.Events[i].NextQ {
 				if e := &es.Events[i]; e.NextT == trace.None && !e.ObsDepart {
 					resampleFinalDeparture(es, rates, &w.mc, i)
+					moves++
 				}
 			}
 		}
@@ -714,6 +724,7 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
 				if e := &es.Events[i]; e.NextT == trace.None && !e.ObsDepart {
 					resampleFinalDeparture(es, rates, &w.mc, i)
+					moves++
 				}
 			}
 		}
@@ -721,11 +732,13 @@ func (w *SlidingWindow) Sweep(rates []float64, rng *xrand.RNG) {
 			for i := w.qTail[q]; i != trace.None; i = es.Events[i].PrevQ {
 				if e := &es.Events[i]; e.PrevT != trace.None && !e.ObsArrival {
 					resampleArrival(es, rates, &w.mc, i)
+					moves++
 				}
 			}
 		}
 	}
 	w.sweeps++
+	w.sweepMoves = moves - (w.mc.skipped - skipped0)
 	w.mergeMC()
 }
 

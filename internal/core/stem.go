@@ -35,9 +35,6 @@ type EMOptions struct {
 	ESweeps int
 	// KeepHistory records the parameter trajectory for diagnostics.
 	KeepHistory bool
-	// Observer, when non-nil, receives per-sweep telemetry from the E-step
-	// sampler (duration, resampled moves); see SweepObserver.
-	Observer SweepObserver
 	// Scratch, when non-nil, donates reusable sampler construction state
 	// (schedule arrays, conflict-graph build buffers, worker pool); see
 	// PosteriorOptions.Scratch and GibbsScratch. Note EMResult.Sampler
@@ -109,7 +106,6 @@ func StEM(es *trace.EventSet, rng *xrand.RNG, opts EMOptions) (*EMResult, error)
 	if err != nil {
 		return nil, err
 	}
-	g.SetObserver(opts.Observer)
 
 	res := &EMResult{Iterations: opts.Iterations, Sampler: g}
 	sum := make([]float64, es.NumQueues)

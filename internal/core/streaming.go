@@ -42,8 +42,8 @@ type StreamingOptions struct {
 
 // OnlineEstimator estimates successive windows of an event stream,
 // warm-starting each StEM run from the previous window's estimate. It is
-// the reusable hook behind both StreamingEstimate (consecutive blocks of
-// one trace) and the qserved daemon (sliding windows of a live stream).
+// the reusable hook behind StreamingEstimate (consecutive blocks of one
+// trace).
 // Setting EM.Workers / Post.Workers runs every window's sweeps on the
 // chromatic parallel engine. It is not safe for concurrent use; serialize
 // calls per stream.
@@ -106,12 +106,6 @@ func (o *OnlineEstimator) WarmWindow(cfg WarmConfig) *WarmEstimator {
 	}
 	return o.warmWin
 }
-
-// Scratch exposes the estimator's reusable sampler construction state, for
-// callers that run extra passes (e.g. windowed posteriors) between
-// Estimate calls and want to share its buffers and worker pool. The same
-// serialization rule applies: never use it concurrently with Estimate.
-func (o *OnlineEstimator) Scratch() *GibbsScratch { return &o.scratch }
 
 // Close releases the estimator's pooled sweep workers. Optional (an
 // unreachable estimator's pool is reaped by a runtime cleanup) and
@@ -228,7 +222,6 @@ func PosteriorWindows(es *trace.EventSet, params Params, rng *xrand.RNG, opts Po
 	if err != nil {
 		return nil, err
 	}
-	g.SetObserver(opts.Observer)
 	var acc [][]trace.WindowStats
 	counts := make([][]int, 0)
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {

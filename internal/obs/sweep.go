@@ -3,11 +3,10 @@ package obs
 import "time"
 
 // SweepMetrics instruments a Gibbs sampler's per-sweep hot loop: a duration
-// histogram and a moves-resampled histogram. It satisfies core.SweepObserver
-// structurally (obs does not import core), and its ObserveSweep is
-// atomics-only — no locks, no allocations — so installing it preserves the
-// engines' zero-alloc steady-state sweeps. One SweepMetrics may be shared by
-// any number of samplers on any number of goroutines.
+// histogram and a moves-resampled histogram. Its ObserveSweep is
+// atomics-only — no locks, no allocations — so calling it after every
+// sweep keeps the zero-alloc steady state. One SweepMetrics may be shared
+// by any number of samplers on any number of goroutines.
 type SweepMetrics struct {
 	// Duration is the per-sweep wall time in seconds.
 	Duration *Histogram

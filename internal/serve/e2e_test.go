@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,7 +58,7 @@ func TestEndToEndTandemReplay(t *testing.T) {
 	// that follows — tens of milliseconds the watcher below cannot miss.
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: tasks, MinTasks: tasks,
-		IntervalMS: 50, EMIters: 250, PostSweeps: 30, Windows: 4, WindowSweeps: 10,
+		EMIters: 250, PostSweeps: 30, Windows: 4, WindowSweeps: 10,
 	}
 	if err := c.CreateStream(ctx, "tandem", cfg); err != nil {
 		t.Fatal(err)
@@ -166,12 +171,13 @@ func TestEndToEndTandemReplay(t *testing.T) {
 	}
 }
 
-// TestEndToEndTandemReplayParallel replays a smaller tandem trace through
-// a stream configured with workers: 4, exercising the chromatic parallel
-// Gibbs engine end to end (StEM E-steps, posterior pass, and windowed
-// stats all run sharded sweeps). Under -race this is the daemon-level
-// data-race gate for the parallel path.
-func TestEndToEndTandemReplayParallel(t *testing.T) {
+// TestLegacyConfigKeysRunWarmPath replays a smaller tandem trace into a
+// stream created with a raw PUT body that still carries the removed
+// "workers" and "interval_ms" keys. Unknown JSON keys are ignored — which
+// is also what lets old WAL config records replay — so the PUT succeeds,
+// the echoed config drops both keys, and the stream estimates on the warm
+// path like any other.
+func TestLegacyConfigKeysRunWarmPath(t *testing.T) {
 	const (
 		lambda = 4.0
 		mu1    = 12.0
@@ -201,15 +207,27 @@ func TestEndToEndTandemReplayParallel(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	cfg := StreamConfig{
-		NumQueues: truth.NumQueues, WindowTasks: tasks, MinTasks: 50,
-		IntervalMS: 50, EMIters: 150, PostSweeps: 20, Windows: 4, WindowSweeps: 10,
-		Workers: 4,
-	}
-	if err := c.CreateStream(ctx, "tandem-par", cfg); err != nil {
+	body := fmt.Sprintf(`{"num_queues":%d,"window_tasks":%d,"min_tasks":50,`+
+		`"em_iters":150,"post_sweeps":20,"windows":4,"window_sweeps":10,`+
+		`"workers":4,"interval_ms":250}`, truth.NumQueues, tasks)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/streams/legacy", strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Replay(ctx, c, truth, ReplayOptions{Stream: "tandem-par", Batch: 150})
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT with legacy keys: %d: %s", resp.StatusCode, echo)
+	}
+	if bytes.Contains(echo, []byte("workers")) || bytes.Contains(echo, []byte("interval_ms")) {
+		t.Errorf("echoed config still carries a removed key: %s", echo)
+	}
+
+	stats, err := Replay(ctx, c, truth, ReplayOptions{Stream: "legacy", Batch: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +237,17 @@ func TestEndToEndTandemReplayParallel(t *testing.T) {
 
 	wctx, cancel := context.WithTimeout(ctx, 90*time.Second)
 	defer cancel()
-	est, err := c.WaitForEpoch(wctx, "tandem-par", tasks)
-	if err != nil {
+	if _, err := c.WaitForEpoch(wctx, "legacy", tasks); err != nil {
 		t.Fatal(err)
+	}
+	var est *Estimate
+	waitFor(t, 90*time.Second, "gibbs estimate covering the replay", func() bool {
+		est = srv.lookup("legacy").estimate.Load()
+		return est != nil && est.Backend == BackendGibbs && est.Epoch >= tasks
+	})
+	if srv.metrics.slideNew.Value() == 0 || srv.metrics.visitSweeps.Count() == 0 {
+		t.Errorf("warm path idle: slide_new_events=%d visit_sweeps_count=%d",
+			srv.metrics.slideNew.Value(), srv.metrics.visitSweeps.Count())
 	}
 	checkWithin := func(name string, got, want, tol float64) {
 		t.Helper()
@@ -233,11 +259,11 @@ func TestEndToEndTandemReplayParallel(t *testing.T) {
 	checkWithin("µ̂_1", est.Rates[1], mu1, 0.3)
 	checkWithin("µ̂_2", est.Rates[2], mu2, 0.3)
 
-	ws, err := c.Windows(ctx, "tandem-par")
+	ws, err := c.Windows(ctx, "legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ws.Queues) != truth.NumQueues || len(ws.Queues[1]) != cfg.Windows {
+	if len(ws.Queues) != truth.NumQueues || len(ws.Queues[1]) != 4 {
 		t.Fatalf("windows snapshot shape: queues=%d buckets=%d", len(ws.Queues), len(ws.Queues[1]))
 	}
 }

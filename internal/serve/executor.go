@@ -69,6 +69,10 @@ type executor struct {
 	cond   *sync.Cond
 	q      execHeap
 	closed bool
+	// holdVisits, when non-nil, parks every popped stream until the
+	// channel is closed (or the server shuts down), so a test can fill the
+	// queue deterministically. Always nil in production.
+	holdVisits chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -216,8 +220,15 @@ func (e *executor) runWorker() {
 		st := heap.Pop(&e.q).(*stream)
 		st.sched.state = schedRunning
 		enqueuedNS := st.sched.enqueuedNS
+		hold := e.holdVisits
 		e.mu.Unlock()
 
+		if hold != nil {
+			select {
+			case <-hold:
+			case <-e.s.ctx.Done():
+			}
+		}
 		deadline := time.Now().Add(e.visitBudget)
 		requeue, caught := st.sched.wk.visit(e.s.ctx, deadline, enqueuedNS)
 
@@ -304,13 +315,13 @@ type SchedStream struct {
 // priority inputs, ordered by live priority (the queue order a full
 // re-admission would produce).
 type SchedSnapshot struct {
-	Workers        int           `json:"workers"`
-	QueueDepth     int           `json:"queue_depth"`
-	Queued         int           `json:"queued"`
-	VisitBudgetMS  float64       `json:"visit_budget_ms"`
-	ScanIntervalMS float64       `json:"scan_interval_ms"`
-	OverloadTotal  uint64        `json:"overload_total"`
-	Streams        []SchedStream `json:"streams"`
+	Workers       int           `json:"workers"`
+	QueueDepth    int           `json:"queue_depth"`
+	Queued        int           `json:"queued"`
+	VisitBudgetMS float64       `json:"visit_budget_ms"`
+	ScanPeriodMS  float64       `json:"scan_interval_ms"`
+	OverloadTotal uint64        `json:"overload_total"`
+	Streams       []SchedStream `json:"streams"`
 }
 
 func schedStateName(state int32) string {
@@ -334,11 +345,11 @@ func schedStateName(state int32) string {
 // scheduler for more than one stream's field reads.
 func (e *executor) snapshot() SchedSnapshot {
 	out := SchedSnapshot{
-		Workers:        e.workers,
-		QueueDepth:     e.queueDepth,
-		VisitBudgetMS:  float64(e.visitBudget) / float64(time.Millisecond),
-		ScanIntervalMS: float64(e.scanInterval) / float64(time.Millisecond),
-		OverloadTotal:  e.s.metrics.overload.Value(),
+		Workers:       e.workers,
+		QueueDepth:    e.queueDepth,
+		VisitBudgetMS: float64(e.visitBudget) / float64(time.Millisecond),
+		ScanPeriodMS:  float64(e.scanInterval) / float64(time.Millisecond),
+		OverloadTotal: e.s.metrics.overload.Value(),
 	}
 	e.mu.Lock()
 	out.Queued = len(e.q)

@@ -93,6 +93,12 @@ func TestExecutorOverloadShed(t *testing.T) {
 	srv := New(StreamConfig{},
 		WithInferenceWorkers(1), WithQueueDepth(2), WithScanInterval(10*time.Millisecond))
 	defer srv.Close()
+	// Park the single worker on its first visit so it cannot drain the
+	// queue as fast as the PUTs below fill it.
+	release := make(chan struct{})
+	srv.exec.mu.Lock()
+	srv.exec.holdVisits = release
+	srv.exec.mu.Unlock()
 
 	cfg := StreamConfig{
 		NumQueues: 2, WindowTasks: 32, MinTasks: 2,
@@ -105,6 +111,7 @@ func TestExecutorOverloadShed(t *testing.T) {
 	if srv.metrics.overload.Value() == 0 {
 		t.Fatal("registering 8 streams on a depth-2 queue shed nothing")
 	}
+	close(release)
 	for i := 0; i < streams; i++ {
 		execIngest(t, srv, fmt.Sprintf("q%d", i), 0, 8)
 	}
@@ -174,9 +181,12 @@ func TestExecutorIncrementalSlide(t *testing.T) {
 	execPut(t, srv, "inc", cfg)
 	execIngest(t, srv, "inc", 0, 200)
 	st := srv.lookup("inc")
+	// Wait for the Gibbs publish: the mean-field fast path publishes epoch
+	// 200 before the visit syncs the window, so its estimate would let the
+	// baseline below be read before the first 200 tasks are counted.
 	waitFor(t, 60*time.Second, "first epoch", func() bool {
 		est := st.estimate.Load()
-		return est != nil && est.Epoch == 200
+		return est != nil && est.Epoch == 200 && est.Backend == BackendGibbs
 	})
 	newBefore, winBefore := srv.metrics.slideNew.Value(), srv.metrics.slideWindow.Value()
 

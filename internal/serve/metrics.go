@@ -27,8 +27,7 @@ type serverMetrics struct {
 	// contended each shard's streams are.
 	lockWait [numStreamShards]*obs.Counter
 	// estimateLatency times each inference visit (a budgeted slice of
-	// sweeps on the warm path, a full pass on the cold path), including
-	// failed ones.
+	// sweeps), including failed ones.
 	estimateLatency *obs.Histogram
 	// visitSweeps is the distribution of sweeps actually spent per
 	// executor visit — the realized sweep budget after the deadline and
@@ -47,9 +46,9 @@ type serverMetrics struct {
 	// almost all prior latent state.
 	slideNew    *obs.Counter
 	slideWindow *obs.Counter
-	// sweep receives per-sweep telemetry from every stream's Gibbs sampler
+	// sweep receives per-sweep telemetry from every stream's visit loop
 	// (duration, resampled moves). One daemon-wide pair of histograms: the
-	// hook is atomics-only, so sharing it across workers is free.
+	// instruments are atomics-only, so sharing them across workers is free.
 	sweep *obs.SweepMetrics
 	// publishedMeanField / publishedGibbs count published snapshots by the
 	// backend that produced them (qserved_backend_published_total): the

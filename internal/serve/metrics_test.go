@@ -48,7 +48,7 @@ func startEstimatingServer(t *testing.T) (*Server, string) {
 	ctx := context.Background()
 	cfg := StreamConfig{
 		NumQueues: truth.NumQueues, WindowTasks: 200, MinTasks: 20,
-		IntervalMS: 50, EMIters: 40, PostSweeps: 12, Windows: 2, WindowSweeps: 6,
+		EMIters: 40, PostSweeps: 12, Windows: 2, WindowSweeps: 6,
 	}
 	if err := c.CreateStream(ctx, "m", cfg); err != nil {
 		t.Fatal(err)
@@ -146,6 +146,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		if samples[fam+"_count"] == 0 {
 			t.Errorf("%s_count = 0, want > 0", fam)
 		}
+	}
+	// Sweeps over a 30%-observed window resample latent moves; a zero sum
+	// means the daemon is not reporting the real count.
+	if v := samples["qserved_sweep_moves_resampled_sum"]; !(v > 0) {
+		t.Errorf("qserved_sweep_moves_resampled_sum = %v, want > 0", v)
 	}
 	for q := 1; q <= 2; q++ {
 		key := `qserved_queue_ess{queue="` + strconv.Itoa(q) + `",stream="m"}`

@@ -98,7 +98,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	cfgOracle := StreamConfig{NumQueues: numQueues, WindowTasks: 500, MinTasks: 500}
 	cfgLive := StreamConfig{NumQueues: numQueues, WindowTasks: 500, MinTasks: 10,
-		IntervalMS: 20, EMIters: 30, PostSweeps: 5}
+		EMIters: 30, PostSweeps: 5}
 
 	// Phase 1: durable server A ingests the pre-crash prefix.
 	srvA, cA, tsA := newDurableServer(t, dir)

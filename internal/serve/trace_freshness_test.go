@@ -64,7 +64,7 @@ func TestTraceChainE2E(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "tr", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +76,28 @@ func TestTraceChainE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The publish span lands after the estimate becomes visible; poll the
-	// trace until the chain has its terminal span.
+	// The publish span lands after the estimate becomes visible, and its
+	// parent visit span only once the visit returns; poll the trace until
+	// every publish span's visit is in the ring.
 	var spans []obs.Span
-	waitFor(t, 30*time.Second, "publish span in /debug/trace", func() bool {
+	waitFor(t, 30*time.Second, "publish span and its visit in /debug/trace", func() bool {
 		spans = fetchSpans(t, ts.URL)
+		visits := map[uint64]bool{}
 		for _, sp := range spans {
-			if sp.Kind == "publish" {
-				return true
+			if sp.Kind == "visit" {
+				visits[sp.ID] = true
 			}
 		}
-		return false
+		publishes := 0
+		for _, sp := range spans {
+			if sp.Kind == "publish" {
+				if !visits[sp.Parent] {
+					return false
+				}
+				publishes++
+			}
+		}
+		return publishes > 0
 	})
 
 	byID := map[uint64]obs.Span{}
@@ -198,7 +209,7 @@ func TestFreshnessSLOAccounting(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 200, MinTasks: 10,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "f", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +264,7 @@ func TestFreshnessRebuildPath(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 64, MinTasks: 10,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	if err := c.CreateStream(ctx, "rb", cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +373,7 @@ func TestExecutorSchedDebug(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	cfg := StreamConfig{NumQueues: 3, WindowTasks: 100, MinTasks: 5,
-		IntervalMS: 10, EMIters: 4, PostSweeps: 2}
+		EMIters: 4, PostSweeps: 2}
 	for _, id := range []string{"sa", "sb"} {
 		if err := c.CreateStream(ctx, id, cfg); err != nil {
 			t.Fatal(err)

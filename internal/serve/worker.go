@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -30,15 +29,12 @@ type workerResult struct {
 // machine in executor.go guarantees at most one visit per stream is in
 // flight, so nothing here needs locking.
 //
-// Streams with cfg.Workers == 0 run the incremental warm path: a
-// core.WarmEstimator carries the window's latent assignments and merged
-// statistics across slides, so catching up after an ingest batch costs
-// O(new + expired events) (store.delta) instead of a full window rebuild,
-// and an estimation epoch's sweeps can be spent across many budgeted
-// visits with anytime snapshots between them. Streams with cfg.Workers
-// != 0 keep the cold path — a full window copy estimated per visit on
-// the chromatic parallel engine — because the incremental window is a
-// sequential-scan sampler.
+// Every stream runs the incremental warm path: a core.WarmEstimator
+// carries the window's latent assignments and merged statistics across
+// slides, so catching up after an ingest batch costs O(new + expired
+// events) (store.delta) instead of a full window rebuild, and an
+// estimation epoch's sweeps can be spent across many budgeted visits with
+// anytime snapshots between them.
 type worker struct {
 	st      *stream
 	results chan<- workerResult
@@ -47,12 +43,10 @@ type worker struct {
 	seq     uint64
 	// lastEpoch is the store epoch of the last published estimate;
 	// caughtEpoch is the latest store epoch whose epoch finished estimating
-	// (the executor's re-admission watermark). On the cold path they move
-	// together.
+	// (the executor's re-admission watermark).
 	lastEpoch   uint64
 	caughtEpoch uint64
 
-	// Warm path.
 	warm         *core.WarmEstimator
 	deltaBuf     []core.SlideTask
 	appliedEpoch uint64 // store epoch the warm window mirrors
@@ -66,9 +60,6 @@ type worker struct {
 	pendingSweeps uint64
 	sum           core.PosteriorSummary
 	rates         []float64
-
-	// Cold path.
-	est *core.OnlineEstimator
 
 	// Mean-field fast path (DESIGN.md §18). meanField is the server's mode;
 	// in MeanFieldOn, a visit to a stream with no published snapshot solves
@@ -86,12 +77,9 @@ type worker struct {
 	// seal→publish SLO (0 = no SLO accounting). traceRoot is the claimed
 	// ingest root span whose chain this worker completes at the next
 	// publish; visitSpan/visitParent/visitStartNS frame the visit span in
-	// flight (all zero on untraced visits — the common case). tap is the
-	// cold path's observer: it fans sweep metrics out to sm.sweep and,
-	// when visitSpan is set as its parent, records per-sweep spans.
+	// flight (all zero on untraced visits — the common case).
 	tr           *obs.Tracer
 	sloNanos     int64
-	tap          *obs.SweepTracer
 	traceRoot    uint64
 	visitSpan    uint64
 	visitParent  uint64
@@ -104,47 +92,12 @@ func newWorker(st *stream, results chan<- workerResult, sm *serverMetrics, tr *o
 	if slo > 0 {
 		w.sloNanos = slo.Nanoseconds()
 	}
-	if cfg.Workers == 0 {
-		w.warm = core.NewWarmEstimator(core.WarmConfig{
-			NumQueues:  cfg.NumQueues,
-			EMIters:    cfg.EMIters,
-			PostSweeps: cfg.PostSweeps,
-		})
-	} else {
-		w.tap = &obs.SweepTracer{Metrics: sm.sweep, Tracer: tr, Kind: spanSweep, Stream: st.id}
-		emOpts := core.EMOptions{Iterations: cfg.EMIters, Workers: cfg.Workers, Observer: w.tap}
-		if meanField != MeanFieldOff {
-			// Warm-start StEM from the mean-field fix point: the same solve
-			// that serves the fast path makes the chain's burn-in shorter.
-			emOpts.Init = &core.MeanFieldInitializer{Scratch: &w.mfScratch}
-		}
-		w.est = core.NewOnlineEstimator(
-			emOpts,
-			core.PosteriorOptions{Sweeps: cfg.PostSweeps, Workers: cfg.Workers, Observer: w.tap},
-		)
-	}
+	w.warm = core.NewWarmEstimator(core.WarmConfig{
+		NumQueues:  cfg.NumQueues,
+		EMIters:    cfg.EMIters,
+		PostSweeps: cfg.PostSweeps,
+	})
 	return w
-}
-
-// close releases pooled resources (the cold path's sweep workers).
-func (w *worker) close() {
-	if w.est != nil {
-		w.est.Close()
-	}
-}
-
-// visit runs one budgeted inference slice. It returns whether the stream
-// has an open epoch left to finish (the executor re-queues it) and the
-// latest store epoch fully estimated (the scanner's re-admission
-// watermark).
-func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64) (requeue bool, caught uint64) {
-	w.beginVisitSpan(enqueuedNS)
-	defer w.endVisitSpan()
-	if w.warm != nil {
-		return w.visitWarm(ctx, deadline)
-	}
-	w.visitCold(ctx)
-	return false, w.caughtEpoch
 }
 
 // maybePublishMeanField runs the fast path on the first visit to a stream
@@ -164,7 +117,7 @@ func (w *worker) maybePublishMeanField(ctx context.Context) {
 // it solves the deterministic mean-field fix point over the current window
 // and stores the result immediately — zero Gibbs sweeps, O(events) — so
 // GET /estimate stops 503ing as soon as the window has MinTasks. The
-// normal warm/cold visit then runs as usual and its Gibbs-refined
+// normal warm visit then runs as usual and its Gibbs-refined
 // estimate overwrites this one (lastEpoch/caughtEpoch are deliberately
 // not advanced here, and freshness accounting stays with the refined
 // publish). Solve errors are swallowed after counting: the stream just
@@ -245,9 +198,6 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 	w.visitParent = w.traceRoot
 	w.visitSpan = w.tr.Child(w.traceRoot)
 	w.visitStartNS = now
-	if w.tap != nil {
-		w.tap.SetParent(w.visitSpan)
-	}
 }
 
 // endVisitSpan closes the visit span. The claimed root survives across
@@ -256,9 +206,6 @@ func (w *worker) beginVisitSpan(enqueuedNS int64) {
 func (w *worker) endVisitSpan() {
 	if w.visitSpan == 0 {
 		return
-	}
-	if w.tap != nil {
-		w.tap.SetParent(0)
 	}
 	w.tr.Record(obs.Span{ID: w.visitSpan, Parent: w.visitParent,
 		Kind: spanVisit, Stream: w.st.id, StartNS: w.visitStartNS, EndNS: time.Now().UnixNano()})
@@ -287,7 +234,13 @@ func (w *worker) recordFreshness(from, to uint64, publishNS int64) {
 	}
 }
 
-func (w *worker) visitWarm(ctx context.Context, deadline time.Time) (bool, uint64) {
+// visit runs one budgeted inference slice. It returns whether the stream
+// has an open epoch left to finish (the executor re-queues it) and the
+// latest store epoch fully estimated (the scanner's re-admission
+// watermark).
+func (w *worker) visit(ctx context.Context, deadline time.Time, enqueuedNS int64) (requeue bool, caught uint64) {
+	w.beginVisitSpan(enqueuedNS)
+	defer w.endVisitSpan()
 	cfg := w.st.cfg
 	if !w.epochOpen {
 		sealed, _, epoch := w.st.store.counts()
@@ -362,7 +315,7 @@ func (w *worker) warmSlice(ctx context.Context, deadline time.Time) (published b
 		if n == 0 {
 			break
 		}
-		w.sm.sweep.ObserveSweep(time.Since(t0), 0)
+		w.sm.sweep.ObserveSweep(time.Since(t0), w.warm.Window().LastSweepMoves())
 		if w.visitSpan != 0 {
 			w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
 				Kind: spanSweep, Stream: w.st.id, StartNS: t0.UnixNano(), EndNS: time.Now().UnixNano()})
@@ -482,7 +435,7 @@ func (w *worker) publishWarm() error {
 		}
 		w.pendingSweeps += uint64(cfg.WindowSweeps)
 		w.st.m.SweepsRun.Add(uint64(cfg.WindowSweeps))
-		ws = w.buildWindowsSnapshot(stats, 0, w.epochStart)
+		ws = w.buildWindowsSnapshot(stats, w.epochStart)
 	}
 	w.rates = w.warm.RatesInto(w.rates)
 	w.warm.SnapshotInto(&w.sum)
@@ -532,9 +485,9 @@ func (w *worker) publishWarm() error {
 }
 
 // buildWindowsSnapshot converts per-queue windowed stats into the wire
-// snapshot, rebasing bucket bounds by offset (zero on the warm path,
-// which never shifts the window).
-func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float64, epoch uint64) *WindowsSnapshot {
+// snapshot. The warm window keeps absolute stream times, so bucket bounds
+// need no rebasing.
+func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, epoch uint64) *WindowsSnapshot {
 	cfg := w.st.cfg
 	ws := &WindowsSnapshot{
 		Stream:     w.st.id,
@@ -549,8 +502,8 @@ func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float6
 		for i, cell := range stats[q] {
 			ws.Queues[q][i] = WindowCell{
 				Queue:       cell.Queue,
-				Lo:          cell.Lo + offset,
-				Hi:          cell.Hi + offset,
+				Lo:          cell.Lo,
+				Hi:          cell.Hi,
 				Events:      cell.Events,
 				MeanService: JSONFloat(cell.MeanService),
 				MeanWait:    JSONFloat(cell.MeanWait),
@@ -565,149 +518,4 @@ func (w *worker) buildWindowsSnapshot(stats [][]trace.WindowStats, offset float6
 		ws.Bottleneck[i] = bottleneckOf(col)
 	}
 	return ws
-}
-
-// visitCold is the legacy full-pass path for streams on the chromatic
-// parallel engine: one complete StEM + posterior + windowed pass per
-// visit over a fresh window copy. Panics from the numerical stack are
-// contained: a daemon must not die because one window was degenerate.
-func (w *worker) visitCold(ctx context.Context) {
-	sealed, _, epoch := w.st.store.counts()
-	if epoch == w.lastEpoch || sealed < w.st.cfg.MinTasks {
-		w.st.m.SkippedRuns.Inc()
-		return
-	}
-	w.maybePublishMeanField(ctx)
-	start := time.Now()
-	res := workerResult{stream: w.st.id, epoch: epoch}
-	defer func() {
-		if r := recover(); r != nil {
-			res.err = fmt.Errorf("estimation panic: %v", r)
-		}
-		res.elapsed = time.Since(start)
-		w.sm.estimateLatency.Observe(res.elapsed.Seconds())
-		if res.err != nil {
-			w.st.m.EstimateErrors.Inc()
-		}
-		select {
-		case w.results <- res:
-		case <-ctx.Done():
-		}
-	}()
-
-	// The executor serializes visits per stream, so this worker is the
-	// store's single window() caller. The cold path rebuilds the window
-	// from scratch every visit, so its window span is always a rebuild.
-	var wt0 int64
-	if w.visitSpan != 0 {
-		wt0 = time.Now().UnixNano()
-	}
-	es, epoch, err := w.st.store.window()
-	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
-			Kind: spanRebuild, Stream: w.st.id, StartNS: wt0, EndNS: time.Now().UnixNano()})
-	}
-	if err != nil {
-		res.err = err
-		return
-	}
-	res.epoch = epoch
-	origStart := es.TaskEntry(0)
-	origEnd := es.TaskEntry(es.NumTasks - 1)
-
-	emRes, post, err := w.est.Estimate(es, w.rng)
-	if err != nil {
-		res.err = err
-		return
-	}
-	// Estimate shifted the window toward zero; offset maps shifted times
-	// back to stream time.
-	offset := origStart - es.TaskEntry(0)
-	cfg := w.st.cfg
-	w.seq++
-	meanWait := make([]float64, len(post.MeanWait))
-	copy(meanWait, post.MeanWait)
-	est := &Estimate{
-		Stream:       w.st.id,
-		Seq:          w.seq,
-		Epoch:        epoch,
-		Lambda:       emRes.Params.Rates[0],
-		Rates:        append([]float64(nil), emRes.Params.Rates...),
-		MeanService:  toJSONFloats(post.MeanService),
-		MeanWait:     toJSONFloats(post.MeanWait),
-		Bottleneck:   bottleneckOf(meanWait),
-		WindowTasks:  es.NumTasks,
-		WindowEvents: len(es.Events) - es.NumTasks, // exclude the synthetic q0 entries
-		WindowStart:  origStart,
-		WindowEnd:    origEnd,
-		ComputedAt:   time.Now(),
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		Backend:      BackendGibbs,
-	}
-
-	var ws *WindowsSnapshot
-	if cfg.Windows > 0 {
-		ws, err = w.windowed(es, emRes.Params, offset, epoch)
-		if err != nil {
-			res.err = fmt.Errorf("windowed stats: %w", err)
-			return
-		}
-	}
-
-	// Windows first, then the estimate: a reader that observes the new
-	// estimate epoch is guaranteed a windowed snapshot at least as new.
-	var p0 int64
-	if w.visitSpan != 0 {
-		p0 = time.Now().UnixNano()
-	}
-	if ws != nil {
-		w.st.windows.Store(ws)
-	}
-	w.st.estimate.Store(est)
-	w.sm.publishedGibbs.Inc()
-	if w.mfWait != nil {
-		w.st.m.updateDivergence(w.mfWait, post.MeanWait)
-	}
-	if prev := w.lastEpoch; epoch > prev {
-		w.recordFreshness(prev, epoch, est.ComputedAt.UnixNano())
-	}
-	w.lastEpoch = epoch
-	w.caughtEpoch = epoch
-	if w.visitSpan != 0 {
-		w.tr.Record(obs.Span{ID: w.tr.Child(w.visitSpan), Parent: w.visitSpan,
-			Kind: spanPublish, Stream: w.st.id, StartNS: p0, EndNS: time.Now().UnixNano()})
-		w.traceRoot = 0 // the ingest→publish chain is complete
-	}
-	w.st.m.Estimates.Inc()
-	w.st.m.updateQueueGauges(post.MeanService, post.MeanWait, post.WaitChain)
-	res.seq = w.seq
-	res.sweeps = uint64(cfg.EMIters + cfg.PostSweeps + cfg.WindowSweeps)
-	w.st.m.SweepsRun.Add(res.sweeps)
-}
-
-// windowed runs the fixed-parameter windowed posterior pass over the
-// (shifted) window and rebases the bucket bounds to stream time.
-func (w *worker) windowed(es *trace.EventSet, params core.Params, offset float64, epoch uint64) (*WindowsSnapshot, error) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for q := 1; q < es.NumQueues; q++ {
-		first, last := es.Span(q)
-		if len(es.ByQueue[q]) == 0 {
-			continue
-		}
-		lo = math.Min(lo, first)
-		hi = math.Max(hi, last)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("degenerate window span [%v,%v)", lo, hi)
-	}
-	cfg := w.st.cfg
-	// The estimator's scratch is reusable here: windowed() runs strictly
-	// between Estimate calls within the stream's serialized visit.
-	stats, err := core.PosteriorWindows(es, params, w.rng,
-		core.PosteriorOptions{Sweeps: cfg.WindowSweeps, Workers: cfg.Workers, Observer: w.tap,
-			Scratch: w.est.Scratch()}, lo, hi, cfg.Windows)
-	if err != nil {
-		return nil, err
-	}
-	return w.buildWindowsSnapshot(stats, offset, epoch), nil
 }

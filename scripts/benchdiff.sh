@@ -13,9 +13,6 @@
 #   (1.05x tolerance) — parallelism that loses to the sequential scan on
 #   hardware that could exploit it is a regression, not noise. On hosts
 #   with fewer CPUs than N the curve is reported but cannot gate.
-#   The traced-seq rows gate same-run against seq: with tracing attached
-#   but sampling off (the default), sweep and posterior cost must stay
-#   within 5% of untraced and allocs/op must not grow.
 #   A baseline written by an older bench.sh (no "schema": 2 marker) cannot
 #   be row-matched against the grid output; it is reseeded from the fresh
 #   run instead of failing the gate.
@@ -149,21 +146,6 @@ END {
             status = "context (host too small to gate)"
         }
         printf "%-44s %22.2fx vs seq @cpu%d  %s\n", k, fns[seqk] / fns[k], fp[k], status
-    }
-    # Same-run tracing-overhead gate: the traced-seq rows run the
-    # sequential engine with a SweepTracer attached and sampling off (the
-    # default qserved configuration), so they must stay within 5% of the
-    # untraced seq row at the same GOMAXPROCS and must not allocate more —
-    # the span hook is one nil-parent branch, not a cost.
-    for (k in fns) {
-        if (fv[k] != "traced-seq") continue
-        seqk = fb[k] "/seq@cpu" fp[k]
-        if (!(seqk in fns) || fns[seqk] <= 0 || fns[k] <= 0) continue
-        status = "ok"
-        if (fns[k] > 1.05 * fns[seqk]) { status = "FAIL traced overhead > 5%"; bad = 1 }
-        if (fal[k] > fal[seqk]) { status = status " FAIL traced allocs"; bad = 1 }
-        printf "%-44s %19.3fx vs seq @cpu%d  allocs %g vs %g  %s\n",
-            k, fns[k] / fns[seqk], fp[k], fal[k], fal[seqk], status
     }
     if (bad) { print "benchdiff: sweep benchmark regression" | "cat 1>&2"; exit 1 }
 }' "$GIBBS_CMP" "$FRESH" || rc=1
