@@ -227,6 +227,46 @@ func BenchmarkGibbsSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmSweep measures one Gibbs sweep of the daemon's warm
+// sliding window — the loop that sets a hot stream's estimate freshness —
+// on the paper's three-tier {1,2,4} network (λ = 10, µ = 5) with 500 tasks
+// in the window and 25% of tasks observed. Profile it with
+// `sh scripts/profile.sh 2000x BenchmarkWarmSweep`.
+func BenchmarkWarmSweep(b *testing.B) {
+	rng := xrand.New(1)
+	net, err := ThreeTier(10, 5, [3]int{1, 2, 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth, err := sim.Run(net, rng, sim.Options{Tasks: 500})
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth.ObserveTasks(rng, 0.25)
+	w := core.NewSlidingWindow(truth.NumQueues)
+	var evs []core.SlideEvent
+	for _, ids := range truth.ByTask {
+		evs = evs[:0]
+		for _, id := range ids[1:] { // the q0 event is the task's entry
+			e := &truth.Events[id]
+			evs = append(evs, core.SlideEvent{Queue: e.Queue, State: e.State,
+				Arr: truth.Arr[id], Dep: truth.Dep[id], ObsArr: e.ObsArrival, ObsDep: e.ObsDepart})
+		}
+		entry := truth.Events[ids[1]].ObsArrival
+		if err := w.Append(core.SlideTask{Entry: truth.Arr[ids[1]], EntryObs: entry, Events: evs}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rates := net.ServiceRates()
+	srng := xrand.New(2)
+	w.Sweep(rates, srng) // settle the chain's scratch before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Sweep(rates, srng)
+	}
+}
+
 // BenchmarkPosterior measures the full fixed-parameter posterior pass (30
 // sweeps, incremental per-queue statistics) across the same worker grid,
 // the way a steady-state caller runs it: working copies drawn from a

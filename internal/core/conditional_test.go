@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/piecewise"
@@ -74,6 +75,187 @@ func TestCondSpecMatchesPiecewise(t *testing.T) {
 			if math.Abs(got-want) > 0.02 {
 				t.Fatalf("trial %d: empirical CDF(%v)=%v, want %v", trial, cp, got, want)
 			}
+		}
+	}
+}
+
+// sampleReference is the log-domain kernel condSpec.sample replaced, kept
+// as the lockstep oracle: per-piece log masses through logIntExp, weights
+// exp(logZ − max), and the unreflected truncated-exponential inverse CDF
+// that xrand.TruncExp used. That inverse overflows once slope·width passes
+// ~709; overflow reports it (the draw is then clamped to the piece's upper
+// edge, or NaN when u == 0).
+func sampleReference(c *condSpec, r *xrand.RNG) (x float64, overflow bool) {
+	var edges [4]float64
+	var slopes [3]float64
+	np := 1
+	edges[0] = c.lo
+	slope := c.baseSlope
+	slopes[0] = slope
+	for b := 0; b < c.nBreaks; b++ {
+		edges[np] = c.breakAt[b]
+		slope += c.breakAdd[b]
+		slopes[np] = slope
+		np++
+	}
+	edges[np] = c.hi
+	var logZ [3]float64
+	f := 0.0
+	maxLZ := math.Inf(-1)
+	for i := 0; i < np; i++ {
+		w := edges[i+1] - edges[i]
+		logZ[i] = f + logIntExp(slopes[i], w)
+		if !math.IsInf(w, 1) {
+			f += slopes[i] * w
+		}
+		if logZ[i] > maxLZ {
+			maxLZ = logZ[i]
+		}
+	}
+	var total float64
+	var wts [3]float64
+	for i := 0; i < np; i++ {
+		wts[i] = math.Exp(logZ[i] - maxLZ)
+		total += wts[i]
+	}
+	u := r.Float64() * total
+	pick := np - 1
+	for i := 0; i < np; i++ {
+		u -= wts[i]
+		if u < 0 {
+			pick = i
+			break
+		}
+	}
+	lo := edges[pick]
+	w := edges[pick+1] - lo
+	if math.IsInf(w, 1) {
+		return lo + r.Exp(-slopes[pick]), false
+	}
+	v := r.Float64()
+	rate := -slopes[pick]
+	if rate == 0 {
+		return lo + v*w, false
+	}
+	em := math.Expm1(-rate * w)
+	t := -math.Log1p(v*em) / rate
+	if t < 0 {
+		t = 0
+	}
+	if t > w {
+		t = w
+	}
+	return lo + t, math.IsInf(em, 1)
+}
+
+// randomSpec draws a condSpec of 1–3 pieces with slopes in (−30, 30) and
+// widths log-uniform in (e^−12, e^4); a quarter of them end in an
+// unbounded tail (whose slope is then negative).
+func randomSpec(r *xrand.RNG) condSpec {
+	np := 1 + r.Intn(3)
+	lo := r.Uniform(-5, 5)
+	var slopes [3]float64
+	for i := 0; i < np; i++ {
+		slopes[i] = r.Uniform(-30, 30)
+	}
+	unbounded := r.Intn(4) == 0
+	if unbounded {
+		slopes[np-1] = -r.Uniform(0.05, 30)
+	}
+	edge := lo
+	var edges [3]float64
+	for i := 0; i < np; i++ {
+		edge += math.Exp(r.Uniform(-12, 4))
+		edges[i] = edge
+	}
+	hi := edges[np-1]
+	if unbounded {
+		hi = math.Inf(1)
+	}
+	var c condSpec
+	c.reset(lo, hi, slopes[0])
+	for i := 1; i < np; i++ {
+		c.addTerm(edges[i-1], slopes[i]-slopes[i-1])
+	}
+	return c
+}
+
+// ksDistance is the Kolmogorov–Smirnov statistic of the sorted sample xs
+// against the spec's exact CDF.
+func ksDistance(t *testing.T, c *condSpec, xs []float64) float64 {
+	d := buildEquivalent(t, c)
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	var ks float64
+	for i, x := range xs {
+		f := d.CDF(x)
+		ks = math.Max(ks, math.Max(math.Abs(f-float64(i)/n), math.Abs(float64(i+1)/n-f)))
+	}
+	return ks
+}
+
+// TestCondSpecLockstepWithReference runs the linear-domain kernel and the
+// log-domain reference side by side over 10^5 random specs, two draws
+// each, from RNGs that start equal. Both must leave the RNG at the same
+// position after every draw — chains stay in lockstep — and agree to
+// rounding (|Δx| ≤ 1e-9·max(1,|x|)) wherever the reference does not
+// overflow. Where it does (a steep increasing piece, slope·width > ~709,
+// which it clamps to the piece's edge), the kernel's draws must instead
+// follow the exact CDF.
+func TestCondSpecLockstepWithReference(t *testing.T) {
+	meta := xrand.New(20260)
+	rNew, rRef := xrand.New(77), xrand.New(77)
+	var overflowSpecs []condSpec
+	compared, overflows := 0, 0
+	for trial := 0; trial < 100000; trial++ {
+		c := randomSpec(meta)
+		overflowed := false
+		for draw := 0; draw < 2; draw++ {
+			got := c.sample(rNew)
+			want, overflow := sampleReference(&c, rRef)
+			if *rNew != *rRef {
+				t.Fatalf("trial %d draw %d: RNG positions diverged (spec %+v)", trial, draw, c)
+			}
+			if got < c.lo || got > c.hi || math.IsNaN(got) {
+				t.Fatalf("trial %d: sample %v outside (%v,%v)", trial, got, c.lo, c.hi)
+			}
+			if overflow {
+				overflows++
+				overflowed = true
+				continue
+			}
+			compared++
+			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+				t.Fatalf("trial %d draw %d: sample %v, reference %v (spec %+v)", trial, draw, got, want, c)
+			}
+		}
+		if overflowed {
+			overflowSpecs = append(overflowSpecs, c)
+		}
+	}
+	if overflows == 0 {
+		t.Fatal("no spec reached the reference's overflow regime")
+	}
+	t.Logf("%d draws compared, %d in the reference's overflow regime (%d specs)", compared, overflows, len(overflowSpecs))
+
+	// The overflow regime, against the exact CDF of internal/piecewise.
+	const n = 4000
+	xs := make([]float64, n)
+	r := xrand.New(78)
+	for k, c := range overflowSpecs[:min(40, len(overflowSpecs))] {
+		atHi := 0
+		for i := range xs {
+			xs[i] = c.sample(r)
+			if xs[i] == c.hi {
+				atHi++
+			}
+		}
+		if atHi == n {
+			t.Fatalf("overflow spec %d: every sample equals hi (spec %+v)", k, c)
+		}
+		// 1.95/√n is the two-sided KS critical value at α = 0.001.
+		if ks := ksDistance(t, &c, xs); ks > 1.95/math.Sqrt(n) {
+			t.Fatalf("overflow spec %d: KS distance %v to the exact CDF (spec %+v)", k, ks, c)
 		}
 	}
 }

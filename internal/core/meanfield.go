@@ -655,53 +655,27 @@ func fillMeanFieldSummary(sum *PosteriorSummary, es *trace.EventSet) {
 // Conditional means of the piecewise log-linear conditionals.
 
 // mean returns the mean of the normalized density exp(f) described by the
-// spec — the deterministic counterpart of sample: the same piece
-// construction and log-domain mass anchoring, with each piece contributing
-// its truncated-exponential mean instead of a draw. Requires lo < hi and,
+// spec — the deterministic counterpart of sample: the same pieces and
+// linear-domain masses, with each piece contributing its
+// truncated-exponential mean instead of a draw. Requires lo < hi and,
 // when hi is +Inf, a negative final slope (both guaranteed by the move
 // constructions).
 func (c *condSpec) mean() float64 {
 	if c.nBreaks == 0 {
-		// Single piece — the common case; no log-domain machinery needed.
+		// Single piece — the common case; no piece masses needed.
 		return c.lo + truncExpMean(c.baseSlope, c.hi-c.lo)
 	}
-	var edges [4]float64
-	var slopes [3]float64
-	np := 1
-	edges[0] = c.lo
-	slope := c.baseSlope
-	slopes[0] = slope
-	for b := 0; b < c.nBreaks; b++ {
-		edges[np] = c.breakAt[b]
-		slope += c.breakAdd[b]
-		slopes[np] = slope
-		np++
-	}
-	edges[np] = c.hi
-
-	var logZ [3]float64
-	f := 0.0
-	maxLZ := math.Inf(-1)
-	for i := 0; i < np; i++ {
-		w := edges[i+1] - edges[i]
-		logZ[i] = f + logIntExp(slopes[i], w)
-		if !math.IsInf(w, 1) {
-			f += slopes[i] * w
-		}
-		if logZ[i] > maxLZ {
-			maxLZ = logZ[i]
-		}
-	}
-	var total, acc float64
-	for i := 0; i < np; i++ {
-		wt := math.Exp(logZ[i] - maxLZ)
-		if wt == 0 {
+	var p pieceSet
+	c.build(&p)
+	p.weigh()
+	var acc float64
+	for i := 0; i < p.np; i++ {
+		if p.mass[i] == 0 {
 			continue // zero mass; its (possibly infinite-support) mean is moot
 		}
-		acc += wt * (edges[i] + truncExpMean(slopes[i], edges[i+1]-edges[i]))
-		total += wt
+		acc += p.mass[i] * (p.edges[i] + truncExpMean(p.slopes[i], p.edges[i+1]-p.edges[i]))
 	}
-	return acc / total
+	return acc / p.total
 }
 
 // truncExpMean returns the mean of the density ∝ exp(m·x) on (0, w):

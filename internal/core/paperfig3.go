@@ -114,3 +114,20 @@ func logIntExpAnchored(m, lo, hi, f0 float64) float64 {
 	}
 	return f0 + logIntExp(m, hi-lo)
 }
+
+// logIntExp returns log ∫_0^w exp(m·x) dx for w > 0 (possibly +Inf with
+// m < 0), matching internal/piecewise.
+func logIntExp(m, w float64) float64 {
+	if math.IsInf(w, 1) {
+		return -math.Log(-m)
+	}
+	mw := m * w
+	switch {
+	case mw == 0:
+		return math.Log(w)
+	case mw > 0:
+		return mw + math.Log(-math.Expm1(-mw)/m)
+	default:
+		return math.Log(math.Expm1(mw) / m)
+	}
+}

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/trace"
@@ -120,7 +120,7 @@ func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return []byte("null"), nil
 	}
-	return json.Marshal(v)
+	return appendJSONFloat(make([]byte, 0, 24), v), nil
 }
 
 // UnmarshalJSON maps null back to NaN.
@@ -129,12 +129,31 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 		*f = JSONFloat(math.NaN())
 		return nil
 	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("serve: bad JSON number %q: %w", b, err)
 	}
 	*f = JSONFloat(v)
 	return nil
+}
+
+// appendJSONFloat appends the finite v exactly as encoding/json encodes a
+// float64: the shortest round-tripping digits in 'f' format, or 'e' format
+// below 1e-6 and at or above 1e21 with a two-digit negative exponent
+// shortened (1e-07 → 1e-7).
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 func toJSONFloats(xs []float64) []JSONFloat {

@@ -60,8 +60,12 @@ type stream struct {
 	store    *store
 	estimate atomic.Pointer[Estimate]
 	windows  atomic.Pointer[WindowsSnapshot]
-	m        *streamMetrics
-	sched    streamSched
+	// estimateJSON and windowsJSON hold the encoded body of the published
+	// snapshot, built on the first GET after each publish.
+	estimateJSON snapshotCache
+	windowsJSON  snapshotCache
+	m            *streamMetrics
+	sched        streamSched
 
 	// traceRoot hands a sampled ingest request's root span id to the
 	// inference plane: ingest stores it after sealing tasks, the next
@@ -744,8 +748,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "estimate not ready (stream needs %d sealed tasks)", st.cfg.MinTasks)
 		return
 	}
+	staleness := stalenessMS(est.ComputedAt)
+	if body := st.estimateJSON.body(est); body != nil {
+		body.write(w, staleness)
+		return
+	}
 	out := *est
-	out.StalenessMS = stalenessMS(est.ComputedAt)
+	out.StalenessMS = staleness
 	writeJSON(w, http.StatusOK, &out)
 }
 
@@ -761,9 +770,76 @@ func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "windowed stats not ready")
 		return
 	}
+	staleness := stalenessMS(ws.ComputedAt)
+	if body := st.windowsJSON.body(ws); body != nil {
+		body.write(w, staleness)
+		return
+	}
 	out := *ws
-	out.StalenessMS = stalenessMS(ws.ComputedAt)
+	out.StalenessMS = staleness
 	writeJSON(w, http.StatusOK, &out)
+}
+
+// snapshotJSON is the response body of one published snapshot, encoded
+// once exactly as writeJSON encodes it and split around the value of its
+// staleness_ms member, so that a GET writes head, its own staleness and
+// tail.
+type snapshotJSON struct {
+	src        any // the *Estimate or *WindowsSnapshot encoded
+	head, tail []byte
+}
+
+// snapshotCache holds the encoding of a stream's latest published snapshot
+// of one kind. Snapshots are immutable once stored, so the snapshot's
+// pointer is the cache key.
+type snapshotCache struct{ p atomic.Pointer[snapshotJSON] }
+
+// stalenessMember opens the staleness_ms member of an indented snapshot.
+// A JSON string cannot hold a raw newline, so its only match is the
+// top-level member.
+var stalenessMember = []byte("\n  \"staleness_ms\": ")
+
+// body returns the encoding of src, building it if src is not the snapshot
+// cached. It returns nil if src does not encode (a non-finite rate), and
+// the caller then falls back on writeJSON. Concurrent GETs may each build
+// it once after a publish; they produce the same bytes.
+func (c *snapshotCache) body(src any) *snapshotJSON {
+	if sj := c.p.Load(); sj != nil && sj.src == src {
+		return sj
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if enc.Encode(src) != nil {
+		return nil
+	}
+	b := buf.Bytes()
+	i := bytes.Index(b, stalenessMember)
+	if i < 0 {
+		return nil
+	}
+	i += len(stalenessMember)
+	j := i + bytes.IndexAny(b[i:], ",\n") // a number holds neither
+	sj := &snapshotJSON{src: src, head: b[:i], tail: b[j:]}
+	c.p.Store(sj)
+	return sj
+}
+
+// bodyBufs recycles the per-request buffers snapshot bodies are spliced in.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// write sends the body with stalenessMS spliced in, byte for byte what
+// writeJSON sends for the snapshot with that staleness.
+func (sj *snapshotJSON) write(w http.ResponseWriter, stalenessMS float64) {
+	bp := bodyBufs.Get().(*[]byte)
+	b := append((*bp)[:0], sj.head...)
+	b = appendJSONFloat(b, stalenessMS)
+	b = append(b, sj.tail...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	*bp = b
+	bodyBufs.Put(bp)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

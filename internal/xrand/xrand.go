@@ -135,9 +135,17 @@ func (r *RNG) TruncExp(rate, width float64) float64 {
 	if rate == 0 {
 		return u * width
 	}
-	// Inverse CDF of density ∝ exp(-rate*x) on (0,width):
-	// x = -log(1 - u*(1-exp(-rate*width))) / rate, computed stably.
-	x := -math.Log1p(u*math.Expm1(-rate*width)) / rate
+	var x float64
+	if rate > 0 {
+		// Inverse CDF of density ∝ exp(-rate*x) on (0,width):
+		// x = -log(1 - u*(1-exp(-rate*width))) / rate, computed stably.
+		x = -math.Log1p(u*math.Expm1(-rate*width)) / rate
+	} else {
+		// Increasing density: the same inverse CDF reflected about width,
+		// x = width - y with y ∝ exp(rate*y) and quantile 1-u, so the
+		// expm1 argument stays negative and cannot overflow.
+		x = width + math.Log1p((1-u)*math.Expm1(rate*width))/-rate
+	}
 	// Guard against boundary rounding.
 	if x < 0 {
 		x = 0

@@ -143,6 +143,33 @@ func TestTruncExpMean(t *testing.T) {
 	}
 }
 
+// TestTruncExpSteepIncreasing covers a negative rate with |rate|·width far
+// past exp's overflow threshold (~709): the density ∝ exp(20x) on (0, 50)
+// piles up just below the width, with mean 50 − 1/20 and spread 1/20, but
+// the samples must still spread out rather than all land on the width.
+func TestTruncExpSteepIncreasing(t *testing.T) {
+	r := New(37)
+	const n = 200000
+	var sum float64
+	atWidth := 0
+	for i := 0; i < n; i++ {
+		x := r.TruncExp(-20, 50)
+		if math.IsNaN(x) || x < 0 || x > 50 {
+			t.Fatalf("TruncExp(-20, 50) = %v out of support", x)
+		}
+		if x == 50 {
+			atWidth++
+		}
+		sum += x
+	}
+	if want := 50 - 1.0/20; math.Abs(sum/n-want) > 1e-3 {
+		t.Fatalf("TruncExp(-20, 50) mean = %v, want %v", sum/n, want)
+	}
+	if atWidth > n/100 {
+		t.Fatalf("%d of %d samples equal the width", atWidth, n)
+	}
+}
+
 func TestTruncExpZeroRateIsUniform(t *testing.T) {
 	r := New(23)
 	const n = 100000
